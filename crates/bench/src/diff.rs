@@ -25,183 +25,9 @@
 //! new tables or rows only present in the current run are reported but
 //! pass, so a PR adding an experiment does not need a two-step dance.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Minimal JSON value — just the shapes `Table::to_json` emits.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json {
-    /// String.
-    Str(String),
-    /// Number (kept as f64; the tables only hold integers and short
-    /// decimals, all exactly representable).
-    Num(f64),
-    /// Array.
-    Arr(Vec<Json>),
-    /// Object (insertion order irrelevant).
-    Obj(BTreeMap<String, Json>),
-}
-
-/// Parses a JSON document. Supports objects, arrays, strings with the
-/// escapes `Table::to_json` produces, numbers, and the literals
-/// `true`/`false`/`null` (mapped to 1/0/0 — the tables never emit them,
-/// but a hand-edited baseline should not crash the gate).
-pub fn parse_json(text: &str) -> Result<Json, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let v = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing bytes at offset {pos}"));
-    }
-    Ok(v)
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        Some(b'{') => parse_obj(b, pos),
-        Some(b'[') => parse_arr(b, pos),
-        Some(b'"') => parse_str(b, pos).map(Json::Str),
-        Some(b't') => parse_lit(b, pos, "true", Json::Num(1.0)),
-        Some(b'f') => parse_lit(b, pos, "false", Json::Num(0.0)),
-        Some(b'n') => parse_lit(b, pos, "null", Json::Num(0.0)),
-        Some(_) => parse_num(b, pos),
-        None => Err("unexpected end of input".into()),
-    }
-}
-
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Json) -> Result<Json, String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(v)
-    } else {
-        Err(format!("bad literal at offset {pos}"))
-    }
-}
-
-fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    *pos += 1; // '{'
-    let mut map = BTreeMap::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Obj(map));
-    }
-    loop {
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("expected object key at offset {pos}"));
-        }
-        let key = parse_str(b, pos)?;
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at offset {pos}"));
-        }
-        *pos += 1;
-        let val = parse_value(b, pos)?;
-        map.insert(key, val);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Obj(map));
-            }
-            _ => return Err(format!("expected ',' or '}}' at offset {pos}")),
-        }
-    }
-}
-
-fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    *pos += 1; // '['
-    let mut items = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Arr(items));
-    }
-    loop {
-        items.push(parse_value(b, pos)?);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            _ => return Err(format!("expected ',' or ']' at offset {pos}")),
-        }
-    }
-}
-
-fn parse_str(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    *pos += 1; // '"'
-    let mut out = String::new();
-    while let Some(&c) = b.get(*pos) {
-        match c {
-            b'"' => {
-                *pos += 1;
-                return Ok(out);
-            }
-            b'\\' => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'u') => {
-                        let hex = b.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                            16,
-                        )
-                        .map_err(|_| "bad \\u escape")?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at offset {pos}")),
-                }
-                *pos += 1;
-            }
-            _ => {
-                // UTF-8 continuation bytes pass through untouched.
-                let ch_len = match c {
-                    0x00..=0x7f => 1,
-                    0xc0..=0xdf => 2,
-                    0xe0..=0xef => 3,
-                    _ => 4,
-                };
-                let s = std::str::from_utf8(&b[*pos..*pos + ch_len])
-                    .map_err(|_| "bad utf8 in string")?;
-                out.push_str(s);
-                *pos += ch_len;
-            }
-        }
-    }
-    Err("unterminated string".into())
-}
-
-fn parse_num(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-        *pos += 1;
-    }
-    std::str::from_utf8(&b[start..*pos])
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .map(Json::Num)
-        .ok_or(format!("bad number at offset {start}"))
-}
+pub use bmx_trace::chrome::{parse as parse_json, Json};
 
 /// One parsed benchmark table.
 #[derive(Clone, Debug)]
@@ -222,28 +48,32 @@ impl BenchTable {
 }
 
 /// Extracts the `tables` array from a parsed `BENCH_tables.json` document.
+///
+/// Cells are stringified; the literals `true`/`false`/`null` map to
+/// `1`/`0`/`0` (the tables never emit them, but a hand-edited baseline
+/// should not crash the gate).
 pub fn extract_tables(doc: &Json) -> Result<Vec<BenchTable>, String> {
-    let Json::Obj(root) = doc else {
+    if !matches!(doc, Json::Obj(_)) {
         return Err("root is not an object".into());
-    };
-    let Some(Json::Arr(tables)) = root.get("tables") else {
+    }
+    let Some(Json::Arr(tables)) = doc.get("tables") else {
         return Err("missing \"tables\" array".into());
     };
     let get_str = |v: &Json| -> Result<String, String> {
-        if let Json::Str(s) = v {
-            Ok(s.clone())
-        } else if let Json::Num(n) = v {
-            Ok(fmt_num(*n))
-        } else {
-            Err("expected scalar cell".into())
+        match v {
+            Json::Str(s) => Ok(s.clone()),
+            Json::Num(n) => Ok(fmt_num(*n)),
+            Json::Bool(b) => Ok(fmt_num(f64::from(u8::from(*b)))),
+            Json::Null => Ok(fmt_num(0.0)),
+            _ => Err("expected scalar cell".into()),
         }
     };
     let mut out = Vec::new();
     for t in tables {
-        let Json::Obj(t) = t else {
+        if !matches!(t, Json::Obj(_)) {
             return Err("table entry is not an object".into());
-        };
-        let Some(Json::Str(title)) = t.get("title") else {
+        }
+        let Some(title) = t.get("title").and_then(Json::as_str) else {
             return Err("table missing title".into());
         };
         let Some(Json::Arr(headers)) = t.get("headers") else {
@@ -253,7 +83,7 @@ pub fn extract_tables(doc: &Json) -> Result<Vec<BenchTable>, String> {
             return Err(format!("table {title:?} missing rows"));
         };
         out.push(BenchTable {
-            title: title.clone(),
+            title: title.to_string(),
             headers: headers.iter().map(&get_str).collect::<Result<_, _>>()?,
             rows: rows
                 .iter()

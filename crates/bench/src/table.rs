@@ -42,21 +42,12 @@ impl Table {
     /// the machine-readable twin of [`Table::render`], consumed by
     /// `BENCH_tables.json`.
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            let mut out = String::with_capacity(s.len() + 2);
-            out.push('"');
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
-                }
-            }
+        let esc = |s: &str| {
+            let mut out = String::from('"');
+            bmx_trace::chrome::escape(s, &mut out);
             out.push('"');
             out
-        }
+        };
         let list = |cells: &[String]| cells.iter().map(|c| esc(c)).collect::<Vec<_>>().join(", ");
         let rows = self
             .rows

@@ -56,7 +56,6 @@ pub mod parallel;
 pub mod persist;
 pub mod recovery;
 pub mod retry;
-pub mod threaded;
 
 pub use cluster::{Cluster, ClusterConfig, PersistConfig};
 pub use driver::{Driver, LinkDriver, TickDriver};
@@ -67,4 +66,3 @@ pub use parallel::{
 };
 pub use recovery::RecoveryOutcome;
 pub use retry::{RetryDaemon, RetryPolicy};
-pub use threaded::{ClusterActor, ClusterHandle};

@@ -30,7 +30,6 @@ pub mod cleaner;
 pub mod collect;
 pub mod directory;
 pub mod fromspace;
-pub mod gclist;
 pub mod grouping;
 pub mod incremental;
 pub mod integration;

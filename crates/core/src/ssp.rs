@@ -19,18 +19,18 @@
 //!
 //! Each table keeps two structures in lockstep: an ordered `Vec` (the
 //! deterministic view — reports, wire images, and BGC root scans iterate
-//! it, so replay stays bit-exact) and a sharded lock-free membership index
-//! ([`gclist::ShardedSet`]) that answers the dedup queries `add_*` used to
-//! answer with O(n) scans. Retired entries leave the index through
-//! epoch-based reclamation, so a concurrent reader (the threaded driver's
-//! audit path) never observes freed memory. Mutation therefore goes through
-//! methods — `add_*`, `retain_*`, `replace` — instead of raw field access;
-//! the old `pub inter` / `pub intra` fields are exposed read-only via
-//! [`StubTable::inter`]-style accessors.
+//! it, so replay stays bit-exact) and an owned `HashSet` membership index
+//! keyed by the dedup tuple, which answers the duplicate checks of
+//! `add_*` in O(1) instead of a table scan. The index is never iterated,
+//! so its hash order cannot leak into any output. Tables are per-replica
+//! state reached only through `&mut` (under the protocol lock in the
+//! parallel runtime), so a plain set suffices. Mutation goes through methods — `add_*`,
+//! `retain_*`, `replace` — that keep both structures in step; the ordered
+//! views are exposed read-only via [`StubTable::inter`]-style accessors.
+
+use std::collections::HashSet;
 
 use bmx_common::{Addr, BunchId, NodeId, Oid};
-
-use crate::gclist::{key2, ShardedSet};
 
 /// Globally unique identifier of one stub–scion pair.
 ///
@@ -42,14 +42,6 @@ pub struct SspId {
     pub node: NodeId,
     /// Creation counter at that node.
     pub seq: u64,
-}
-
-impl SspId {
-    /// Packs the id into a membership-index key.
-    #[inline]
-    fn key(self) -> u128 {
-        key2(self.node.0 as u64, self.seq)
-    }
 }
 
 /// Source half of an inter-bunch SSP: "this bunch replica holds a reference
@@ -116,47 +108,22 @@ pub struct IntraScion {
 }
 
 /// The stub table of one bunch replica: outgoing reachability it asserts.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct StubTable {
     /// Inter-bunch stubs created at this node (ordered, deterministic).
     inter: Vec<InterStub>,
     /// Intra-bunch stubs held at this node (ordered, deterministic).
     intra: Vec<IntraStub>,
     /// Membership index over `(source_oid, target_addr)`.
-    addr_index: ShardedSet,
+    addr_index: HashSet<(Oid, Addr)>,
     /// Membership index over `(source_oid, target_oid)` for stubs whose
     /// target OID was resolvable.
-    oid_index: ShardedSet,
+    oid_index: HashSet<(Oid, Oid)>,
     /// Membership index over `(oid, scion_at)` for intra stubs.
-    intra_index: ShardedSet,
-}
-
-impl Clone for StubTable {
-    fn clone(&self) -> Self {
-        let mut t = StubTable {
-            inter: self.inter.clone(),
-            intra: self.intra.clone(),
-            ..StubTable::default()
-        };
-        t.rebuild_index();
-        t
-    }
+    intra_index: HashSet<(Oid, NodeId)>,
 }
 
 impl StubTable {
-    fn rebuild_index(&mut self) {
-        for s in &self.inter {
-            self.addr_index
-                .insert(key2(s.source_oid.0, s.target_addr.0));
-            if let Some(t) = s.target_oid {
-                self.oid_index.insert(key2(s.source_oid.0, t.0));
-            }
-        }
-        for s in &self.intra {
-            self.intra_index.insert(key2(s.oid.0, s.scion_at.0 as u64));
-        }
-    }
-
     /// Inter-bunch stubs, in insertion order.
     #[inline]
     pub fn inter(&self) -> &[InterStub] {
@@ -175,17 +142,16 @@ impl StubTable {
     pub fn add_inter(&mut self, stub: InterStub) -> bool {
         let dup = self
             .addr_index
-            .contains(key2(stub.source_oid.0, stub.target_addr.0))
+            .contains(&(stub.source_oid, stub.target_addr))
             || stub
                 .target_oid
-                .is_some_and(|t| self.oid_index.contains(key2(stub.source_oid.0, t.0)));
+                .is_some_and(|t| self.oid_index.contains(&(stub.source_oid, t)));
         if dup {
             return false;
         }
-        self.addr_index
-            .insert(key2(stub.source_oid.0, stub.target_addr.0));
+        self.addr_index.insert((stub.source_oid, stub.target_addr));
         if let Some(t) = stub.target_oid {
-            self.oid_index.insert(key2(stub.source_oid.0, t.0));
+            self.oid_index.insert((stub.source_oid, t));
         }
         self.inter.push(stub);
         true
@@ -194,26 +160,23 @@ impl StubTable {
     /// Adds an intra-bunch stub, deduplicating by `(oid, scion_at)`.
     /// Returns whether it was added.
     pub fn add_intra(&mut self, stub: IntraStub) -> bool {
-        if !self
-            .intra_index
-            .insert(key2(stub.oid.0, stub.scion_at.0 as u64))
-        {
+        if !self.intra_index.insert((stub.oid, stub.scion_at)) {
             return false;
         }
         self.intra.push(stub);
         true
     }
 
-    /// Keeps only the inter-bunch stubs satisfying `f`; dropped entries are
-    /// retired from the membership index (freed via its EBR limbo).
+    /// Keeps only the inter-bunch stubs satisfying `f`; dropped entries
+    /// leave the membership index.
     pub fn retain_inter(&mut self, mut f: impl FnMut(&InterStub) -> bool) {
-        let (addr_index, oid_index) = (&self.addr_index, &self.oid_index);
+        let (addr_index, oid_index) = (&mut self.addr_index, &mut self.oid_index);
         self.inter.retain(|s| {
             let keep = f(s);
             if !keep {
-                addr_index.remove(key2(s.source_oid.0, s.target_addr.0));
+                addr_index.remove(&(s.source_oid, s.target_addr));
                 if let Some(t) = s.target_oid {
-                    oid_index.remove(key2(s.source_oid.0, t.0));
+                    oid_index.remove(&(s.source_oid, t));
                 }
             }
             keep
@@ -222,25 +185,30 @@ impl StubTable {
 
     /// Keeps only the intra-bunch stubs satisfying `f`.
     pub fn retain_intra(&mut self, mut f: impl FnMut(&IntraStub) -> bool) {
-        let intra_index = &self.intra_index;
+        let intra_index = &mut self.intra_index;
         self.intra.retain(|s| {
             let keep = f(s);
             if !keep {
-                intra_index.remove(key2(s.oid.0, s.scion_at.0 as u64));
+                intra_index.remove(&(s.oid, s.scion_at));
             }
             keep
         });
     }
 
-    /// Replaces the whole table (a BGC publication regenerates it); the old
-    /// index entries are retired wholesale.
+    /// Replaces the whole table (a BGC publication regenerates it); the
+    /// index is rebuilt from the new entries.
     pub fn replace(&mut self, inter: Vec<InterStub>, intra: Vec<IntraStub>) {
-        self.addr_index.clear();
-        self.oid_index.clear();
-        self.intra_index.clear();
+        self.addr_index = inter
+            .iter()
+            .map(|s| (s.source_oid, s.target_addr))
+            .collect();
+        self.oid_index = inter
+            .iter()
+            .filter_map(|s| s.target_oid.map(|t| (s.source_oid, t)))
+            .collect();
+        self.intra_index = intra.iter().map(|s| (s.oid, s.scion_at)).collect();
         self.inter = inter;
         self.intra = intra;
-        self.rebuild_index();
     }
 
     /// Inter-bunch stubs whose source is `oid`.
@@ -266,40 +234,19 @@ impl StubTable {
 }
 
 /// The scion table of one bunch replica: incoming reachability it honours.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct ScionTable {
     /// Inter-bunch scions protecting objects of this bunch (ordered).
     inter: Vec<InterScion>,
     /// Intra-bunch scions preserving local replicas for remote stub sites.
     intra: Vec<IntraScion>,
     /// Membership index over pair ids.
-    id_index: ShardedSet,
+    id_index: HashSet<SspId>,
     /// Membership index over `(oid, stub_at)` for intra scions.
-    intra_index: ShardedSet,
-}
-
-impl Clone for ScionTable {
-    fn clone(&self) -> Self {
-        let mut t = ScionTable {
-            inter: self.inter.clone(),
-            intra: self.intra.clone(),
-            ..ScionTable::default()
-        };
-        t.rebuild_index();
-        t
-    }
+    intra_index: HashSet<(Oid, NodeId)>,
 }
 
 impl ScionTable {
-    fn rebuild_index(&mut self) {
-        for s in &self.inter {
-            self.id_index.insert(s.id.key());
-        }
-        for s in &self.intra {
-            self.intra_index.insert(key2(s.oid.0, s.stub_at.0 as u64));
-        }
-    }
-
     /// Inter-bunch scions, in insertion order.
     #[inline]
     pub fn inter(&self) -> &[InterScion] {
@@ -324,7 +271,7 @@ impl ScionTable {
     /// Adds an inter-bunch scion, deduplicating by pair id. Returns whether
     /// it was added. The duplicate check is one index probe.
     pub fn add_inter(&mut self, scion: InterScion) -> bool {
-        if !self.id_index.insert(scion.id.key()) {
+        if !self.id_index.insert(scion.id) {
             return false;
         }
         self.inter.push(scion);
@@ -334,10 +281,7 @@ impl ScionTable {
     /// Adds an intra-bunch scion, deduplicating by `(oid, stub_at)`.
     /// Returns whether it was added.
     pub fn add_intra(&mut self, scion: IntraScion) -> bool {
-        if !self
-            .intra_index
-            .insert(key2(scion.oid.0, scion.stub_at.0 as u64))
-        {
+        if !self.intra_index.insert((scion.oid, scion.stub_at)) {
             return false;
         }
         self.intra.push(scion);
@@ -347,11 +291,11 @@ impl ScionTable {
     /// Keeps only the inter-bunch scions satisfying `f` (the cleaner's
     /// retirement path); dropped ids are retired from the index.
     pub fn retain_inter(&mut self, mut f: impl FnMut(&InterScion) -> bool) {
-        let id_index = &self.id_index;
+        let id_index = &mut self.id_index;
         self.inter.retain(|s| {
             let keep = f(s);
             if !keep {
-                id_index.remove(s.id.key());
+                id_index.remove(&s.id);
             }
             keep
         });
@@ -359,11 +303,11 @@ impl ScionTable {
 
     /// Keeps only the intra-bunch scions satisfying `f`.
     pub fn retain_intra(&mut self, mut f: impl FnMut(&IntraScion) -> bool) {
-        let intra_index = &self.intra_index;
+        let intra_index = &mut self.intra_index;
         self.intra.retain(|s| {
             let keep = f(s);
             if !keep {
-                intra_index.remove(key2(s.oid.0, s.stub_at.0 as u64));
+                intra_index.remove(&(s.oid, s.stub_at));
             }
             keep
         });

@@ -5,7 +5,7 @@
 //! closure; the cluster driver (in `bmx`) wires that closure to the
 //! simulated network and pumps deliveries back into [`DsmEngine::handle`].
 //! This keeps the protocol unit-testable with a five-line pump and lets the
-//! same engine run under the deterministic or the threaded driver.
+//! same engine run under the deterministic cluster or the parallel runtime.
 //!
 //! Outgoing messages are *coalesced*: while one protocol round runs (one
 //! mutator operation, one delivered envelope), emissions are buffered per

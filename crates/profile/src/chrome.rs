@@ -13,6 +13,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use bmx_trace::chrome::escape;
+
 use crate::ThreadSpans;
 
 /// A span's coordinates in the exported trace, for flow stitching.
@@ -21,24 +23,6 @@ struct FlowPoint {
     pid: u32,
     tid: usize,
     ts: u64,
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Renders thread snapshots (from [`crate::snapshot_all`]) as a Chrome
@@ -56,16 +40,15 @@ pub fn export(threads: &[ThreadSpans]) -> String {
         let tid = idx + 1;
         for rec in &t.spans {
             tracks.entry((rec.node, tid)).or_insert(&t.name);
-            events.push(format!(
-                "{{\"name\":\"{}\",\"cat\":\"span\",\"ph\":\"X\",\"pid\":{},\"tid\":{},\
+            let mut ev = String::from("{\"name\":\"");
+            escape(rec.kind.name(), &mut ev);
+            let _ = write!(
+                ev,
+                "\",\"cat\":\"span\",\"ph\":\"X\",\"pid\":{},\"tid\":{},\
                  \"ts\":{},\"dur\":{},\"args\":{{\"flow\":{}}}}}",
-                escape(rec.kind.name()),
-                rec.node,
-                tid,
-                rec.start_us,
-                rec.dur_us,
-                rec.flow
-            ));
+                rec.node, tid, rec.start_us, rec.dur_us, rec.flow
+            );
+            events.push(ev);
             if rec.flow != 0 {
                 flows.entry(rec.flow).or_default().push(FlowPoint {
                     pid: rec.node,
@@ -84,11 +67,13 @@ pub fn export(threads: &[ThreadSpans]) -> String {
                  \"args\":{{\"name\":\"node {pid}\"}}}}"
             ));
         }
-        events.push(format!(
+        let mut ev = format!(
             "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\
-             \"args\":{{\"name\":\"{}\"}}}}",
-            escape(name)
-        ));
+             \"args\":{{\"name\":\""
+        );
+        escape(name, &mut ev);
+        ev.push_str("\"}}");
+        events.push(ev);
     }
 
     // Flow stitching: start at the earliest span, step through the rest,

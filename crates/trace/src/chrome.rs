@@ -17,7 +17,10 @@ use crate::event::TraceRecord;
 /// order) so viewers don't stack them on a single instant.
 const US_PER_TICK: u64 = 1_000;
 
-fn escape(s: &str, out: &mut String) {
+/// Appends `s` to `out` escaped as the body of a JSON string literal
+/// (without the surrounding quotes). Shared by every hand-rolled JSON
+/// writer in the workspace.
+pub fn escape(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -345,7 +348,8 @@ impl<'a> Parser<'a> {
 }
 
 /// Parse a JSON document. Used by tests to prove [`export`] emits valid
-/// JSON; not a general-purpose parser (no duplicate-key or depth checks).
+/// JSON and by `bench-diff` to read table snapshots; not a
+/// general-purpose parser (no duplicate-key or depth checks).
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),

@@ -1,16 +1,9 @@
-//! Concurrency stress: many application threads drive one simulated
-//! cluster through the actor handle — mutation, token traffic, and
-//! collections race (at operation granularity) and every invariant must
-//! still hold. The second half hammers the lock-free scion/stub membership
-//! index (`bmx_gc::gclist::ShardedSet`) directly with real threads and
-//! exercises its epoch-based reclamation under seeded interleavings.
+//! Concurrency stress: application threads drive the parallel runtime
+//! through per-node handles — mutation, token traffic, and collections
+//! genuinely overlap, and every invariant must still hold.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use bmx_common::SplitMix64;
-use bmx_gc::gclist::{key2, ShardedSet};
-use bmx_repro::bmx::{ClusterActor, ClusterHandle};
 use bmx_repro::prelude::*;
 use parking_lot::Mutex;
 
@@ -18,171 +11,78 @@ fn n(i: u32) -> NodeId {
     NodeId(i)
 }
 
-/// Four worker threads hammer a shared counter object with write-token
-/// increments from different nodes while a fifth runs collections; the
-/// final count equals the number of increments and the collector acquired
-/// no tokens.
+/// A producer on one node and a consumer on another share a linked queue
+/// through their [`NodeHandle`]s; garbage from consumed cells is collected
+/// while the queue is in active use. The write token on the queue head
+/// serializes the two sides; every other operation genuinely overlaps.
+/// The run ends with a drain shutdown and the liveness audit.
 #[test]
-fn concurrent_increments_with_collections() {
-    const WORKERS: u32 = 4;
-    const INCS_PER_WORKER: u64 = 50;
+fn producer_consumer_through_node_handles() {
+    use std::time::Duration;
 
-    let (actor, handle) = ClusterActor::spawn(ClusterConfig::with_nodes(WORKERS));
-    let n0 = n(0);
-    let (bunch, counter) = handle
-        .with(move |c| {
-            let b = c.create_bunch(n0).unwrap();
-            let o = c.alloc(n0, b, &ObjSpec::with_refs(2, &[0])).unwrap();
-            c.add_root(n0, o);
-            for i in 1..WORKERS {
-                c.map_bunch(n(i), b, n0).unwrap();
-                c.add_root(n(i), o);
-            }
-            (b, o)
-        })
-        .expect("setup");
+    use bmx_repro::bmx::audit;
 
-    let failures: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
-    let mut threads = Vec::new();
-    for w in 0..WORKERS {
-        let h: ClusterHandle = handle.clone();
-        let failures = Arc::clone(&failures);
-        threads.push(std::thread::spawn(move || {
-            let node = n(w);
-            for i in 0..INCS_PER_WORKER {
-                let res: Result<()> = h
-                    .with(move |c| {
-                        c.acquire_write(node, counter)?;
-                        let v = c.read_data(node, counter, 1)?;
-                        c.write_data(node, counter, 1, v + 1)?;
-                        c.release(node, counter)
-                    })
-                    .and_then(|r| r);
-                if let Err(e) = res {
-                    failures.lock().push(format!("worker {w} inc {i}: {e}"));
-                    return;
-                }
-            }
-        }));
-    }
-    // A collector thread interleaves BGCs on every node.
-    {
-        let h = handle.clone();
-        let failures = Arc::clone(&failures);
-        threads.push(std::thread::spawn(move || {
-            for round in 0..12 {
-                let node = n(round % WORKERS);
-                let res: Result<_> = h.with(move |c| c.run_bgc(node, bunch)).and_then(|r| r);
-                if let Err(e) = res {
-                    failures.lock().push(format!("gc round {round}: {e}"));
-                    return;
-                }
-                std::thread::yield_now();
-            }
-        }));
-    }
-    for t in threads {
-        t.join().expect("thread");
-    }
-    assert!(
-        failures.lock().is_empty(),
-        "failures: {:?}",
-        failures.lock()
-    );
-
-    let total = handle
-        .with(move |c| {
-            c.acquire_read(n0, counter).unwrap();
-            let v = c.read_data(n0, counter, 1).unwrap();
-            c.release(n0, counter).unwrap();
-            c.assert_gc_acquired_no_tokens();
-            v
-        })
-        .expect("final read");
-    assert_eq!(total, WORKERS as u64 * INCS_PER_WORKER);
-    actor.shutdown();
-}
-
-/// Producers on one node and a consumer on another share a linked queue
-/// through the handle; garbage from consumed cells is collected while the
-/// queue is in active use.
-#[test]
-fn producer_consumer_through_the_actor() {
-    let (actor, handle) = ClusterActor::spawn(ClusterConfig::with_nodes(2));
+    let pc = ParallelCluster::spawn(ClusterConfig::with_nodes(2));
     let (prod, cons) = (n(0), n(1));
-    let (bunch, queue) = handle
-        .with(move |c| {
-            let b = c.create_bunch(prod).unwrap();
-            let q = c.alloc(prod, b, &ObjSpec::with_refs(1, &[0])).unwrap();
-            c.add_root(prod, q);
-            c.map_bunch(cons, b, prod).unwrap();
-            c.add_root(cons, q);
-            (b, q)
-        })
-        .expect("setup");
+    let (hp, hc) = (pc.handle(prod), pc.handle(cons));
+    let bunch = hp.create_bunch().expect("bunch");
+    let queue = hp
+        .alloc(bunch, &ObjSpec::with_refs(1, &[0]))
+        .expect("queue");
+    hp.add_root(queue).expect("root");
+    hc.map_bunch(bunch, prod).expect("map");
+    hc.add_root(queue).expect("root");
 
     const ITEMS: u64 = 40;
-    let producer = {
-        let h = handle.clone();
-        std::thread::spawn(move || {
-            for i in 0..ITEMS {
-                h.with(move |c| -> Result<()> {
-                    let item = c.alloc(prod, bunch, &ObjSpec::with_refs(2, &[0]))?;
-                    c.write_data(prod, item, 1, i)?;
-                    c.acquire_write(prod, queue)?;
-                    let head = c.read_ref(prod, queue, 0)?;
-                    c.write_ref(prod, item, 0, head)?;
-                    c.write_ref(prod, queue, 0, item)?;
-                    c.release(prod, queue)
-                })
-                .and_then(|r| r)
-                .expect("produce");
-            }
-        })
-    };
-    let consumer = {
-        let h = handle.clone();
-        std::thread::spawn(move || {
-            let mut got = Vec::new();
-            let mut spins = 0;
-            while got.len() < ITEMS as usize {
-                let popped: Option<u64> = h
-                    .with(move |c| -> Result<Option<u64>> {
-                        c.acquire_write(cons, queue)?;
-                        let head = c.read_ref(cons, queue, 0)?;
-                        let out = if head.is_null() {
-                            None
-                        } else {
-                            c.acquire_write(cons, head)?;
-                            let v = c.read_data(cons, head, 1)?;
-                            let rest = c.read_ref(cons, head, 0)?;
-                            c.release(cons, head)?;
-                            c.write_ref(cons, queue, 0, rest)?;
-                            Some(v)
-                        };
-                        c.release(cons, queue)?;
-                        Ok(out)
-                    })
-                    .and_then(|r| r)
-                    .expect("consume");
-                match popped {
-                    Some(v) => got.push(v),
-                    None => {
-                        spins += 1;
-                        assert!(spins < 100_000, "consumer starved");
-                        std::thread::yield_now();
-                    }
-                }
-                // Periodic housekeeping on the consumer's replica.
-                if got.len() % 10 == 5 {
-                    h.with(move |c| c.run_bgc(cons, bunch))
-                        .and_then(|r| r)
-                        .expect("gc");
+    let producer = std::thread::spawn(move || {
+        for i in 0..ITEMS {
+            let produce = || -> Result<()> {
+                let item = hp.alloc(bunch, &ObjSpec::with_refs(2, &[0]))?;
+                hp.write_data(item, 1, i)?;
+                hp.acquire_write(queue)?;
+                let head = hp.read_ref(queue, 0)?;
+                hp.write_ref(item, 0, head)?;
+                hp.write_ref(queue, 0, item)?;
+                hp.release(queue)
+            };
+            produce().expect("produce");
+        }
+    });
+    let consumer = std::thread::spawn(move || {
+        let mut got = Vec::new();
+        let mut spins = 0;
+        while got.len() < ITEMS as usize {
+            let pop = || -> Result<Option<u64>> {
+                hc.acquire_write(queue)?;
+                let head = hc.read_ref(queue, 0)?;
+                let out = if head.is_null() {
+                    None
+                } else {
+                    hc.acquire_write(head)?;
+                    let v = hc.read_data(head, 1)?;
+                    let rest = hc.read_ref(head, 0)?;
+                    hc.release(head)?;
+                    hc.write_ref(queue, 0, rest)?;
+                    Some(v)
+                };
+                hc.release(queue)?;
+                Ok(out)
+            };
+            match pop().expect("consume") {
+                Some(v) => got.push(v),
+                None => {
+                    spins += 1;
+                    assert!(spins < 100_000, "consumer starved");
+                    std::thread::yield_now();
                 }
             }
-            got
-        })
-    };
+            // Periodic housekeeping on the consumer's replica.
+            if got.len() % 10 == 5 {
+                hc.run_bgc(bunch).expect("gc");
+            }
+        }
+        got
+    });
     producer.join().expect("producer");
     let got = consumer.join().expect("consumer");
     assert_eq!(got.len(), ITEMS as usize);
@@ -191,14 +91,16 @@ fn producer_consumer_through_the_actor() {
     sorted.sort_unstable();
     assert_eq!(sorted, (0..ITEMS).collect::<Vec<_>>());
 
-    handle
-        .with(move |c| {
-            c.run_bgc(prod, bunch).unwrap();
-            c.run_bgc(cons, bunch).unwrap();
-            c.assert_gc_acquired_no_tokens();
-        })
-        .expect("final gc");
-    actor.shutdown();
+    pc.handle(prod).run_bgc(bunch).expect("final gc");
+    pc.handle(cons).run_bgc(bunch).expect("final gc");
+    assert!(
+        pc.quiesce(Duration::from_secs(10)),
+        "cluster failed to quiesce"
+    );
+    let (cluster, report) = pc.shutdown(Shutdown::Drain).expect("drain shutdown");
+    assert_eq!(report.dropped, 0, "drain must not drop: {report:?}");
+    cluster.assert_gc_acquired_no_tokens();
+    audit::assert_no_premature_reclamation(&cluster, &[(prod, queue), (cons, queue)]);
 }
 
 /// Mixed-workload hammer on the real-parallelism runtime
@@ -206,7 +108,7 @@ fn producer_consumer_through_the_actor() {
 /// [`NodeHandle`] — racing write-token increments on a shared counter,
 /// allocation churn plus collections in a node-private bunch — while a
 /// separate collector thread runs BGCs on the shared bunch from rotating
-/// nodes. Unlike the actor tests above, operations here genuinely overlap:
+/// nodes. Operations genuinely overlap:
 /// an acquire blocked on a remote grant parks only its own thread while
 /// the per-node driver threads move the token traffic. The run is gated
 /// by the full audit set: exact counter total, transport conservation
@@ -324,200 +226,4 @@ fn parallel_runtime_mixed_hammer() {
     assert_eq!(total, u64::from(NODES) * INCS_PER_NODE);
     cluster.assert_gc_acquired_no_tokens();
     audit::assert_no_premature_reclamation(&cluster, &live.lock());
-}
-
-/// Eight threads hammer the sharded lock-free set: each owns a private key
-/// range (inserted fully, evens removed — fully deterministic outcome) and
-/// all race on one shared contended range where conservation is checked
-/// instead: per key, successful inserts minus successful removes across
-/// all threads must equal its final membership. A stalled-reader thread
-/// holds an epoch pin across part of the run so reclamation has to park
-/// retired nodes in limbo while the races continue.
-#[test]
-fn sharded_set_hammer_no_lost_scions() {
-    const WORKERS: u64 = 8;
-    const PRIVATE: u64 = 400;
-    const SHARED: u64 = 64;
-
-    let set = Arc::new(ShardedSet::new());
-    // One conservation counter per shared key: +1 per successful insert,
-    // -1 per successful remove (stored biased so it can go "negative"
-    // transiently from the reader's perspective; the final sum is exact
-    // because all threads have joined).
-    let conserved: Arc<Vec<AtomicU64>> =
-        Arc::new((0..SHARED).map(|_| AtomicU64::new(1 << 32)).collect());
-
-    let stalled = {
-        let s = Arc::clone(&set);
-        std::thread::spawn(move || {
-            let guard = s.pin();
-            for _ in 0..2000 {
-                std::thread::yield_now();
-            }
-            drop(guard);
-        })
-    };
-
-    let mut threads = Vec::new();
-    for w in 0..WORKERS {
-        let s = Arc::clone(&set);
-        let conserved = Arc::clone(&conserved);
-        threads.push(std::thread::spawn(move || {
-            let mut rng = SplitMix64::new(0x5C10_0000 + w);
-            // Private range: all in, evens out — no other thread touches it.
-            for i in 0..PRIVATE {
-                assert!(s.insert(key2(w + 1, i)), "private key seen twice");
-            }
-            for i in (0..PRIVATE).step_by(2) {
-                assert!(s.remove(key2(w + 1, i)), "private key lost");
-            }
-            // Shared range: racing inserts/removes with conservation
-            // accounting on the operations that actually took effect.
-            for _ in 0..1500 {
-                let k = rng.next_u64() % SHARED;
-                let key = key2(0, k);
-                if rng.next_u64().is_multiple_of(2) {
-                    if s.insert(key) {
-                        conserved[k as usize].fetch_add(1, Ordering::Relaxed);
-                    }
-                } else if s.remove(key) {
-                    conserved[k as usize].fetch_sub(1, Ordering::Relaxed);
-                }
-                if rng.next_u64().is_multiple_of(64) {
-                    // Readers sprinkle pins to keep epochs contended.
-                    let g = s.pin();
-                    let _ = s.contains(key);
-                    drop(g);
-                }
-            }
-        }));
-    }
-    for t in threads {
-        t.join().expect("worker");
-    }
-    stalled.join().expect("stalled reader");
-
-    // Private ranges: exact deterministic membership.
-    for w in 0..WORKERS {
-        for i in 0..PRIVATE {
-            assert_eq!(
-                set.contains(key2(w + 1, i)),
-                i % 2 == 1,
-                "private key ({w},{i}) corrupted"
-            );
-        }
-    }
-    // Shared range: conservation — membership equals the operation balance.
-    let mut shared_live = 0u64;
-    for k in 0..SHARED {
-        let balance = conserved[k as usize].load(Ordering::Relaxed) - (1 << 32);
-        assert!(balance <= 1, "key {k}: impossible balance {balance}");
-        assert_eq!(
-            set.contains(key2(0, k)),
-            balance == 1,
-            "key {k}: balance {balance} disagrees with membership"
-        );
-        shared_live += balance;
-    }
-    assert_eq!(
-        set.len() as u64,
-        WORKERS * PRIVATE / 2 + shared_live,
-        "global length drifted from the surviving keys"
-    );
-    // Audit-clean shutdown: with every guard dropped, limbo fully drains.
-    set.flush_limbo();
-    assert_eq!(set.limbo_len(), 0, "limbo must drain once quiescent");
-    assert!(
-        set.freed() > 0,
-        "the run must actually exercise reclamation"
-    );
-}
-
-/// Seeded-interleaving coverage of the epoch-reclamation retire path: a
-/// deterministic schedule of inserts, removes, reader pins, pin drops, and
-/// limbo flushes, checked against a model set after every step. The EBR
-/// safety property is asserted throughout: nodes retired while any guard
-/// from the current or an older epoch is pinned are never freed until that
-/// guard drops.
-#[test]
-fn ebr_retire_path_seeded_interleavings() {
-    for seed in [0x0EBA_5E01_u64, 0x0EBA_5E02, 0x0EBA_5E03, 0x0EBA_5E04] {
-        let set = ShardedSet::new();
-        let mut rng = SplitMix64::new(seed);
-        let mut model: std::collections::BTreeSet<u64> = Default::default();
-        let mut guards = Vec::new();
-        let mut retired_since_pin = 0usize;
-        for step in 0..600 {
-            match rng.next_u64() % 10 {
-                // Insert (weight 4).
-                0..=3 => {
-                    let k = rng.next_u64() % 128;
-                    assert_eq!(
-                        set.insert(key2(7, k)),
-                        model.insert(k),
-                        "seed {seed:#x} step {step}"
-                    );
-                }
-                // Remove (weight 3): retires the node through the mark +
-                // unlink + limbo path.
-                4..=6 => {
-                    let k = rng.next_u64() % 128;
-                    let removed = set.remove(key2(7, k));
-                    assert_eq!(removed, model.remove(&k), "seed {seed:#x} step {step}");
-                    if removed && !guards.is_empty() {
-                        retired_since_pin += 1;
-                    }
-                }
-                // Pin a reader guard (bounded so slots never exhaust).
-                7 => {
-                    if guards.len() < 8 {
-                        if guards.is_empty() {
-                            retired_since_pin = 0;
-                        }
-                        guards.push(set.pin());
-                    }
-                }
-                // Drop the whole pin cohort. (Dropping only the oldest
-                // guard would legally let generations counted under it be
-                // freed once a younger pin takes over as the blocker, which
-                // the safety assertion below could not distinguish from a
-                // premature free.)
-                8 => {
-                    guards.clear();
-                }
-                // Flush: must free everything only when unpinned.
-                _ => {
-                    set.flush_limbo();
-                    if guards.is_empty() {
-                        assert_eq!(
-                            set.limbo_len(),
-                            0,
-                            "seed {seed:#x} step {step}: quiescent flush left limbo"
-                        );
-                    }
-                }
-            }
-            if !guards.is_empty() {
-                // Safety: everything retired since the oldest live pin is
-                // still parked. The pinned epoch can advance at most once,
-                // and the generation that advance frees predates the pin,
-                // so no node counted here may have been freed.
-                assert!(
-                    set.limbo_len() >= retired_since_pin,
-                    "seed {seed:#x} step {step}: freed under a live pin"
-                );
-            }
-            assert_eq!(set.len(), model.len(), "seed {seed:#x} step {step}");
-        }
-        drop(guards);
-        set.flush_limbo();
-        assert_eq!(set.limbo_len(), 0, "seed {seed:#x}: final drain");
-        for k in 0..128 {
-            assert_eq!(
-                set.contains(key2(7, k)),
-                model.contains(&k),
-                "seed {seed:#x} key {k}"
-            );
-        }
-    }
 }
