@@ -105,14 +105,22 @@ pub fn view(mem: &NodeMemory, addr: Addr) -> Result<ObjectView> {
     if !seg.object_map.get(off as usize) {
         return Err(BmxError::NotAnObject { addr });
     }
-    let h0 = seg.words[off as usize];
-    Ok(ObjectView {
-        addr,
+    Ok(view_in(seg, off))
+}
+
+/// Decodes the header at word offset `off` of a segment already in hand,
+/// without resolving an address. The caller guarantees that the
+/// object-map has a header bit at `off`.
+pub fn view_in(seg: &MappedSegment, off: u64) -> ObjectView {
+    let i = off as usize;
+    let h0 = seg.words[i];
+    ObjectView {
+        addr: seg.info.base.add_words(off),
         size: layout::header0_size(h0),
-        oid: Oid(seg.words[off as usize + 1]),
+        oid: Oid(seg.words[i + 1]),
         flags: layout::header0_flags(h0),
-        forwarding: Addr(seg.words[off as usize + 2]),
-    })
+        forwarding: Addr(seg.words[i + 2]),
+    }
 }
 
 fn field_slot(mem: &NodeMemory, addr: Addr, field: u64) -> Result<(ObjectView, Addr, bool)> {

@@ -1,5 +1,6 @@
 //! Criterion bench for experiment E4: per-bunch collection pause versus
-//! whole-heap collection pause as the heap grows.
+//! whole-heap collection pause as the heap grows, and one bunch
+//! collection as its inter-bunch stub table grows.
 
 use bmx_bench::fixtures;
 use bmx_common::NodeId;
@@ -39,5 +40,25 @@ fn bench_pause(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_pause);
+/// `run_bgc` over a bunch holding 1k, 10k and 100k inter-bunch stubs: a
+/// collection should cost linear time in its live objects and SSP
+/// entries, so ns/iter should grow about tenfold per row.
+fn bench_stub_scaling(c: &mut Criterion) {
+    let mut group = c.benchmark_group("e4_bgc_vs_inter_stubs");
+    group.measurement_time(std::time::Duration::from_secs(2));
+    group.warm_up_time(std::time::Duration::from_millis(500));
+    group.sample_size(10);
+    for stubs in [1_000usize, 10_000, 100_000] {
+        group.bench_with_input(BenchmarkId::new("run_bgc", stubs), &stubs, |b, &n| {
+            b.iter_batched(
+                || fixtures::inter_stub_heap(n).expect("heap"),
+                |(mut cluster, a)| cluster.run_bgc(NodeId(0), a).expect("bgc"),
+                criterion::BatchSize::LargeInput,
+            )
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_pause, bench_stub_scaling);
 criterion_main!(benches);

@@ -93,6 +93,37 @@ pub fn multi_bunch_heap(bunches: usize, objects: usize) -> Result<(Cluster, Vec<
     Ok((cluster, ids))
 }
 
+/// A single-node heap whose bunch A holds `stubs` inter-bunch stubs: a
+/// rooted chain of `stubs` holders in A, each referencing its own target
+/// in bunch B. Collecting A regenerates every stub, so the cost of
+/// `run_bgc(node 0, A)` across sizes shows how publish scales with the
+/// stub table. Returns the cluster and A.
+pub fn inter_stub_heap(stubs: usize) -> Result<(Cluster, BunchId)> {
+    const NEXT: u64 = 0;
+    const TARGET: u64 = 1;
+    let mut cluster = Cluster::new(ClusterConfig {
+        nodes: 1,
+        segment_words: 1 << 16,
+        ..Default::default()
+    });
+    let n0 = NodeId(0);
+    let a = cluster.create_bunch(n0)?;
+    let b = cluster.create_bunch(n0)?;
+    let spec = ObjSpec::with_refs(2, &[NEXT, TARGET]);
+    let mut prev = Addr::NULL;
+    for _ in 0..stubs {
+        let holder = cluster.alloc(n0, a, &spec)?;
+        let target = cluster.alloc(n0, b, &ObjSpec::data(1))?;
+        cluster.write_ref(n0, holder, TARGET, target)?;
+        if !prev.is_null() {
+            cluster.write_ref(n0, holder, NEXT, prev)?;
+        }
+        prev = holder;
+    }
+    cluster.add_root(n0, prev);
+    Ok((cluster, a))
+}
+
 /// Current address of `addr` at `node` (resolves forwarding).
 pub fn current(cluster: &Cluster, node: NodeId, addr: Addr) -> Addr {
     cluster.gc.node(node).directory.resolve(addr)

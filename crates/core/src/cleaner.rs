@@ -84,6 +84,12 @@ pub fn process_report(
         .iter()
         .map(|st| (st.oid, st.scion_at))
         .collect();
+    let exiting_here: std::collections::BTreeSet<bmx_common::Oid> = report
+        .exiting
+        .iter()
+        .filter(|&&(_, tgt)| tgt == at)
+        .map(|&(oid, _)| oid)
+        .collect();
 
     // Inter-bunch scions: the reported stub table is authoritative for this
     // (source node, source bunch).
@@ -98,7 +104,7 @@ pub fn process_report(
         out.scions_removed += (before - brs.scion_table.inter().len()) as u64;
     }
     // Recreate scions this node should hold but lost (e.g. dropped
-    // scion-message). `add_inter` dedups through the table's sharded
+    // scion-message). `add_inter` dedups through the table's
     // membership index, so this stays linear for large tables.
     for stub in &report.inter_stubs {
         if stub.scion_at != at {
@@ -155,10 +161,7 @@ pub fn process_report(
         .filter(|(oid, st)| {
             st.bunch == report.bunch
                 && st.entering.contains(&report.from)
-                && !report
-                    .exiting
-                    .iter()
-                    .any(|&(o, tgt)| o == *oid && tgt == at)
+                && !exiting_here.contains(oid)
         })
         .map(|(oid, _)| oid)
         .collect();

@@ -22,19 +22,28 @@
 //!    the local forwarding knowledge, again without tokens (Section 4.4).
 //!    Remote replicas are *not* touched: their updates travel lazily as
 //!    piggy-backed relocation records.
-//! 5. **Table regeneration** (Section 4.3) — a new stub table (inter-bunch
-//!    stubs whose source object is live and still holds the reference;
-//!    intra-bunch stubs whose object is live locally) and a new
-//!    exiting-ownerPtr list (live, non-owned, strongly reachable replicas).
-//! 6. **Reclamation & publish** — dead local replicas are dropped, the
-//!    spaces swap, and the reachability report goes out to every node that
-//!    has the bunch mapped or holds scions matched by the old or new stub
-//!    table.
+//! 5. **Reclamation** — the sweep walks the object-map of every mapped
+//!    segment of the bunch, reading each header in place, and drops the
+//!    replicas that are neither live nor forwarded.
+//! 6. **Table regeneration & publish** (Section 4.3) — a new stub table
+//!    (inter-bunch stubs whose source object is live and still holds the
+//!    reference; intra-bunch stubs whose object is live locally) and a new
+//!    exiting-ownerPtr list (live, non-owned, strongly reachable replicas);
+//!    the spaces swap, and the reachability report goes out to every node
+//!    that has the bunch mapped or holds scions matched by the old or new
+//!    stub table.
+//!
+//! One collection costs time linear in its live objects, its SSP entries
+//! and the headers of the segments it sweeps (retired from-space included
+//! until it is reused): the trace records each inter-bunch reference as a
+//! `(source, resolved target)` pair, and an old stub is kept iff its
+//! pair is in that set; every move is tagged with its bunch when copied,
+//! and each bunch's replica holders are looked up once per collection.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 use bmx_addr::layout::HEADER_WORDS;
-use bmx_addr::object::{self, ObjectImage};
+use bmx_addr::object::{self, ObjectImage, ObjectView};
 use bmx_addr::NodeMemory;
 use bmx_common::WORD_BYTES;
 use bmx_common::{Addr, BmxError, BunchId, NodeId, NodeStats, Oid, Result, SegmentId, StatKind};
@@ -102,7 +111,8 @@ pub(crate) struct TraceCore {
     pub(crate) live: BTreeMap<Addr, LiveObj>,
     pub(crate) visited: BTreeSet<Addr>,
     pub(crate) inter_refs: Vec<InterRef>,
-    pub(crate) new_relocs: Vec<Relocation>,
+    /// This run's moves, each tagged with the bunch of the moved object.
+    pub(crate) new_relocs: Vec<(BunchId, Relocation)>,
     pub(crate) dead_oids: Vec<Oid>,
     pub(crate) out: CollectStats,
     /// Live words per bunch (headers included), for the per-bunch
@@ -449,11 +459,14 @@ impl Ctx<'_> {
                 to: dst,
             },
         );
-        self.core.new_relocs.push(Relocation {
-            oid: img.oid,
-            from,
-            to: dst,
-        });
+        self.core.new_relocs.push((
+            bunch,
+            Relocation {
+                oid: img.oid,
+                from,
+                to: dst,
+            },
+        ));
         Ok(dst)
     }
 
@@ -531,29 +544,35 @@ impl Ctx<'_> {
                 if !self.mem.has_segment(seg_id) {
                     continue;
                 }
-                let objs = object::objects_in(self.mem.segment(seg_id)?);
-                for addr in objs {
-                    let view = object::view(self.mem, addr)?;
-                    if view.is_forwarded() || self.core.live.contains_key(&addr) {
-                        continue;
-                    }
-                    // Dead local replica.
+                // Read the headers from the segment in hand; collect the
+                // dead replicas first, then reclaim them in address order.
+                let seg = self.mem.segment(seg_id)?;
+                let dead: Vec<ObjectView> = seg
+                    .object_map
+                    .iter_ones()
+                    .map(|off| object::view_in(seg, off as u64))
+                    .filter(|v| !v.is_forwarded() && !self.core.live.contains_key(&v.addr))
+                    .collect();
+                for v in &dead {
                     self.core.out.reclaimed += 1;
-                    self.core.out.reclaimed_words += view.footprint();
+                    self.core.out.reclaimed_words += v.footprint();
                     self.stats.bump(StatKind::ObjectsReclaimed);
-                    self.stats.add(StatKind::WordsReclaimed, view.footprint());
+                    self.stats.add(StatKind::WordsReclaimed, v.footprint());
                     let ns = self.gc.node_mut(self.node);
-                    if ns.directory.addr_of(view.oid) == Some(addr) {
-                        ns.directory.drop_oid(view.oid);
+                    if ns.directory.addr_of(v.oid) == Some(v.addr) {
+                        ns.directory.drop_oid(v.oid);
                     }
-                    let (seg, off) = self.mem.resolve_mut(addr)?;
-                    seg.object_map.clear(off as usize);
                     // The replica record disappears: the next report's
                     // exiting list will no longer mention it, and the scion
                     // cleaner at the owner will drop the entering ownerPtr
                     // (Section 6.2). The engine is only touched through this
                     // record-drop — never through a token.
-                    self.drop_replica_record(view.oid);
+                    self.drop_replica_record(v.oid);
+                }
+                let seg = self.mem.segment_mut(seg_id)?;
+                for v in &dead {
+                    seg.object_map
+                        .clear(v.addr.words_from(seg.info.base) as usize);
                 }
             }
         }
@@ -572,14 +591,33 @@ impl Ctx<'_> {
         &mut self,
     ) -> Result<Vec<(Vec<NodeId>, ReachabilityReport)>> {
         let mut reports = Vec::new();
+        // The live objects of each bunch, in OID order (it orders the
+        // exiting list), partitioned in one pass over the live set.
+        let mut live_by_bunch: BTreeMap<BunchId, BTreeMap<Oid, (bool, bool)>> = BTreeMap::new();
+        for l in self.core.live.values() {
+            live_by_bunch
+                .entry(l.bunch)
+                .or_default()
+                .insert(l.oid, (l.owned, l.strong));
+        }
+        // Each collected bunch's replica holders, looked up once.
+        let mapped: BTreeMap<BunchId, Vec<NodeId>> = self
+            .core
+            .group
+            .iter()
+            .map(|&b| (b, self.gc.mapped_nodes(b)))
+            .collect();
+        // Every inter-bunch reference the trace saw, as (source, resolved
+        // target): a stub is retained iff its pair is in here. Membership
+        // only, so the hash order never reaches a report.
+        let held: HashSet<(Oid, Addr)> = self
+            .core
+            .inter_refs
+            .iter()
+            .map(|r| (r.source_oid, r.target))
+            .collect();
         for &b in &self.core.group.clone() {
-            let live_of_bunch: BTreeMap<Oid, (bool, bool)> = self
-                .core
-                .live
-                .values()
-                .filter(|l| l.bunch == b)
-                .map(|l| (l.oid, (l.owned, l.strong)))
-                .collect();
+            let live_of_bunch = live_by_bunch.remove(&b).unwrap_or_default();
             // Stub retention.
             let (old_inter, old_intra) = {
                 let brs = self.gc.node(self.node).bunch(b).expect("mapped");
@@ -590,16 +628,14 @@ impl Ctx<'_> {
             };
             let new_inter: Vec<InterStub> = old_inter
                 .iter()
-                .filter(|s| {
-                    live_of_bunch.contains_key(&s.source_oid)
-                        && self.core.inter_refs.iter().any(|r| {
-                            r.source_oid == s.source_oid && self.resolve(s.target_addr) == r.target
+                .filter(|s| live_of_bunch.contains_key(&s.source_oid))
+                .filter_map(|s| {
+                    let target_addr = self.resolve(s.target_addr);
+                    held.contains(&(s.source_oid, target_addr))
+                        .then(|| InterStub {
+                            target_addr,
+                            ..s.clone()
                         })
-                })
-                .map(|s| {
-                    let mut s = s.clone();
-                    s.target_addr = self.resolve(s.target_addr);
-                    s
                 })
                 .collect();
             let new_intra: Vec<_> = old_intra
@@ -621,7 +657,7 @@ impl Ctx<'_> {
                 .collect();
             // Report destinations: replica holders of the bunch, scion sites
             // of the old and new stub tables, exiting-ptr targets.
-            let mut dests: BTreeSet<NodeId> = self.gc.mapped_nodes(b).into_iter().collect();
+            let mut dests: BTreeSet<NodeId> = mapped[&b].iter().copied().collect();
             dests.extend(old_inter.iter().map(|s| s.scion_at));
             dests.extend(new_inter.iter().map(|s| s.scion_at));
             dests.extend(old_intra.iter().map(|s| s.scion_at));
@@ -633,8 +669,8 @@ impl Ctx<'_> {
                 .core
                 .new_relocs
                 .iter()
-                .filter(|r| self.gc.server.borrow().bunch_of(r.from) == Some(b))
-                .copied()
+                .filter(|&&(rb, _)| rb == b)
+                .map(|&(_, r)| r)
                 .collect();
             // Swap spaces and store the new tables.
             let epoch = {
@@ -688,17 +724,10 @@ impl Ctx<'_> {
         }
         // Lazy relocation propagation: queue every local move for every
         // replica holder of its bunch; the records ride the next DSM
-        // message to each destination (Section 4.4).
-        for r in std::mem::take(&mut self.core.new_relocs) {
-            if let Some(b) = self.gc.bunch_of(r.from) {
-                let dests: Vec<NodeId> = self
-                    .gc
-                    .mapped_nodes(b)
-                    .into_iter()
-                    .filter(|&d| d != self.node)
-                    .collect();
-                GcIntegration::queue_forward(self.gc, self.node, &dests, &[r]);
-            }
+        // message to each destination (Section 4.4). `queue_forward` skips
+        // this node itself.
+        for (b, r) in std::mem::take(&mut self.core.new_relocs) {
+            GcIntegration::queue_forward(self.gc, self.node, &mapped[&b], &[r]);
         }
         Ok(reports
             .into_iter()

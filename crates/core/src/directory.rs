@@ -28,20 +28,29 @@
 //! assert_eq!(dir.addr_of(Oid(1)), Some(Addr(0x3_0000)));
 //! ```
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 use bmx_common::{Addr, Oid};
 use bmx_dsm::Relocation;
 
 /// Node-local knowledge of object locations and forwarding edges.
+///
+/// Each forwarding edge is stored once, in `edges`, keyed by its
+/// from-address together with the relocation record that created it:
+/// following a chain, answering "is this address forwarded?", and
+/// collecting the reuse protocol's address-change payload all read that
+/// one map. `reloc_by_oid` and `reloc_by_to` are secondary indexes into
+/// the same records.
 #[derive(Default, Clone)]
 pub struct Directory {
     addr_of: BTreeMap<Oid, Addr>,
-    /// Forwarding edges, possibly chained over multiple collections.
-    forwarded: BTreeMap<Addr, Addr>,
-    /// Reverse lookups for building grant relocations.
+    /// Forwarding edges by from-address, possibly chained over multiple
+    /// collections.
+    edges: BTreeMap<Addr, Relocation>,
+    /// Each OID's latest recorded move, for building grant relocations.
     reloc_by_oid: BTreeMap<Oid, Relocation>,
-    reloc_by_from: BTreeMap<Addr, Relocation>,
+    /// The record that moved an object *to* an address.
     reloc_by_to: BTreeMap<Addr, Relocation>,
 }
 
@@ -63,11 +72,9 @@ impl Directory {
 
     /// Forgets `oid` (its local replica was reclaimed).
     pub fn drop_oid(&mut self, oid: Oid) {
-        if let Some(a) = self.addr_of.remove(&oid) {
-            // Keep forwarding edges: they may still be needed by stale
-            // pointers; they die with the from-space reuse protocol.
-            let _ = a;
-        }
+        // Forwarding edges stay: stale pointers may still need them; they
+        // die with the from-space reuse protocol.
+        self.addr_of.remove(&oid);
         self.reloc_by_oid.remove(&oid);
     }
 
@@ -85,12 +92,12 @@ impl Directory {
     pub fn resolve_hops(&self, addr: Addr) -> (Addr, u32) {
         let mut cur = addr;
         let mut hops = 0;
-        while let Some(&next) = self.forwarded.get(&cur) {
-            cur = next;
+        while let Some(r) = self.edges.get(&cur) {
+            cur = r.to;
             hops += 1;
             // An acyclic chain cannot follow more edges than exist.
             assert!(
-                hops as usize <= self.forwarded.len(),
+                hops as usize <= self.edges.len(),
                 "forwarding cycle at {addr}"
             );
         }
@@ -120,14 +127,15 @@ impl Directory {
     /// followed, and replacing it would dead-end local resolution mid-chain
     /// at an address this replica never populated.
     pub fn record_move(&mut self, oid: Oid, from: Addr, to: Addr) -> bool {
-        if self.forwarded.contains_key(&from) {
-            return false;
-        }
-        assert_ne!(from, to, "degenerate relocation for {oid}");
-        self.forwarded.insert(from, to);
         let r = Relocation { oid, from, to };
+        match self.edges.entry(from) {
+            Entry::Occupied(_) => return false,
+            Entry::Vacant(slot) => {
+                assert_ne!(from, to, "degenerate relocation for {oid}");
+                slot.insert(r);
+            }
+        }
         self.reloc_by_oid.insert(oid, r);
-        self.reloc_by_from.insert(from, r);
         self.reloc_by_to.insert(to, r);
         if self.addr_of.get(&oid) == Some(&from) {
             let cur = self.resolve(to);
@@ -138,7 +146,7 @@ impl Directory {
 
     /// Whether a forwarding edge from `addr` exists.
     pub fn is_forwarded_from(&self, addr: Addr) -> bool {
-        self.forwarded.contains_key(&addr)
+        self.edges.contains_key(&addr)
     }
 
     /// The relocation record that moved `oid`, if any is still retained.
@@ -148,7 +156,7 @@ impl Directory {
 
     /// The relocation record involving `addr` as either end, if any.
     pub fn reloc_touching(&self, addr: Addr) -> Option<Relocation> {
-        self.reloc_by_from
+        self.edges
             .get(&addr)
             .or_else(|| self.reloc_by_to.get(&addr))
             .copied()
@@ -158,7 +166,7 @@ impl Directory {
     /// `[start, start + len_words)` — the final address-change payload of
     /// the from-space reuse protocol.
     pub fn relocs_from_range(&self, start: Addr, len_words: u64) -> Vec<Relocation> {
-        self.reloc_by_from
+        self.edges
             .range(start..start.add_words(len_words))
             .map(|(_, r)| *r)
             .collect()
@@ -169,17 +177,15 @@ impl Directory {
     /// range is reused and the edges are guaranteed unnecessary
     /// (Section 4.5).
     pub fn forget_range(&mut self, start: Addr, len_words: u64) {
-        let in_range = |a: &Addr| a.in_range(start, len_words);
-        self.forwarded.retain(|from, _| !in_range(from));
-        let dropped: Vec<Oid> = self
-            .reloc_by_from
-            .iter()
-            .filter(|(from, _)| in_range(from))
-            .map(|(_, r)| r.oid)
-            .collect();
-        for oid in dropped {
-            if let Some(r) = self.reloc_by_oid.remove(&oid) {
-                self.reloc_by_from.remove(&r.from);
+        for r in self.relocs_from_range(start, len_words) {
+            self.edges.remove(&r.from);
+            // The secondary indexes may already point at a later move of
+            // the same object (or a later move to the same address); those
+            // records belong to edges outside the range and stay.
+            if self.reloc_by_oid.get(&r.oid) == Some(&r) {
+                self.reloc_by_oid.remove(&r.oid);
+            }
+            if self.reloc_by_to.get(&r.to) == Some(&r) {
                 self.reloc_by_to.remove(&r.to);
             }
         }
@@ -284,6 +290,34 @@ mod tests {
         assert!(d.reloc_of(Oid(1)).is_none());
         assert_eq!(d.resolve(Addr(0x1000)), Addr(0x880), "other edge kept");
         assert!(d.reloc_of(Oid(2)).is_some());
+    }
+
+    #[test]
+    fn forget_range_keeps_the_later_move_of_a_twice_moved_object() {
+        // 0x100 -> 0x800 -> 0x1000; reusing the range holding 0x100 must
+        // drop exactly the first edge. The second is still live: it is the
+        // OID's current record and the payload for reusing 0x800's range.
+        let mut d = Directory::new();
+        d.set_addr(Oid(1), Addr(0x100));
+        d.record_move(Oid(1), Addr(0x100), Addr(0x800));
+        d.record_move(Oid(1), Addr(0x800), Addr(0x1000));
+        d.forget_range(Addr(0x100), 16);
+        let live = Relocation {
+            oid: Oid(1),
+            from: Addr(0x800),
+            to: Addr(0x1000),
+        };
+        assert!(
+            d.relocs_from_range(Addr(0x100), 16).is_empty(),
+            "stale edge gone"
+        );
+        assert!(!d.is_forwarded_from(Addr(0x100)));
+        assert!(d.reloc_touching(Addr(0x100)).is_none());
+        assert_eq!(d.resolve(Addr(0x800)), Addr(0x1000));
+        assert_eq!(d.reloc_of(Oid(1)), Some(live));
+        assert_eq!(d.reloc_touching(Addr(0x1000)), Some(live));
+        assert_eq!(d.relocs_from_range(Addr(0x800), 16), vec![live]);
+        assert_eq!(d.addr_of(Oid(1)), Some(Addr(0x1000)));
     }
 
     #[test]

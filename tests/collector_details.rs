@@ -185,3 +185,114 @@ fn locally_reclaimed_replicas_can_be_refetched() {
     assert_eq!(c.read_data(n1, o, 0).unwrap(), 31);
     c.release(n1, o).unwrap();
 }
+
+/// §4.3, per reference: a source object holding two inter-bunch
+/// references loses exactly the stub of the one it overwrote; the other
+/// stub survives the regeneration unchanged.
+#[test]
+fn overwriting_one_of_two_references_cuts_exactly_its_stub() {
+    let mut c = Cluster::new(ClusterConfig::with_nodes(1));
+    let n0 = n(0);
+    let b1 = c.create_bunch(n0).unwrap();
+    let b2 = c.create_bunch(n0).unwrap();
+    let src = c.alloc(n0, b1, &ObjSpec::with_refs(2, &[0, 1])).unwrap();
+    let t1 = c.alloc(n0, b2, &ObjSpec::data(1)).unwrap();
+    let t2 = c.alloc(n0, b2, &ObjSpec::data(1)).unwrap();
+    let t3 = c.alloc(n0, b2, &ObjSpec::data(1)).unwrap();
+    c.add_root(n0, src);
+    c.write_ref(n0, src, 0, t1).unwrap();
+    c.write_ref(n0, src, 1, t2).unwrap();
+    c.write_ref(n0, src, 1, t3).unwrap();
+    let before = c.gc.node(n0).bunch(b1).unwrap().stub_table.inter().to_vec();
+    assert_eq!(before.len(), 3);
+    c.run_bgc(n0, b1).unwrap();
+    let after = c.gc.node(n0).bunch(b1).unwrap().stub_table.inter().to_vec();
+    // B1's collection moves only B1's objects: B2 targets keep their
+    // addresses, so the survivors are the old stubs of t1 and t3 verbatim.
+    let kept: Vec<_> = before
+        .iter()
+        .filter(|s| s.target_addr != t2)
+        .cloned()
+        .collect();
+    assert_eq!(after, kept, "only the t2 stub is cut");
+    let s = c.run_bgc(n0, b2).unwrap();
+    assert_eq!(s.reclaimed, 1, "t2 alone lost its scion");
+    assert_eq!(s.live, 2);
+}
+
+/// A stub recorded before its target moved still matches the reference
+/// afterwards: retention compares resolved addresses, and the kept stub
+/// carries the target's new address.
+#[test]
+fn stub_of_a_moved_target_is_kept() {
+    let mut c = Cluster::new(ClusterConfig::with_nodes(1));
+    let n0 = n(0);
+    let b1 = c.create_bunch(n0).unwrap();
+    let b2 = c.create_bunch(n0).unwrap();
+    let src = c.alloc(n0, b1, &ObjSpec::with_refs(1, &[0])).unwrap();
+    let tgt = c.alloc(n0, b2, &ObjSpec::data(1)).unwrap();
+    c.add_root(n0, src);
+    c.write_ref(n0, src, 0, tgt).unwrap();
+    let stub = c.gc.node(n0).bunch(b1).unwrap().stub_table.inter()[0].clone();
+    assert_eq!(stub.target_addr, tgt);
+    // B2's collection copies the target; B1's stub still names the old
+    // address, and B1's source field too.
+    assert_eq!(c.run_bgc(n0, b2).unwrap().copied, 1);
+    let moved = c.gc.node(n0).directory.resolve(tgt);
+    assert_ne!(moved, tgt);
+    c.run_bgc(n0, b1).unwrap();
+    let stubs = c.gc.node(n0).bunch(b1).unwrap().stub_table.inter().to_vec();
+    assert_eq!(stubs.len(), 1, "the stub survived the move");
+    assert_eq!(stubs[0].id, stub.id, "same SSP, not a new one");
+    assert_eq!(stubs[0].target_addr, moved);
+    // The target stays protected through further collections.
+    let s = c.run_bgc(n0, b2).unwrap();
+    assert_eq!((s.live, s.reclaimed), (1, 0));
+}
+
+/// A non-owned replica stays where it was when its segment retires to
+/// from-space; when it dies at a later collection, the sweep still finds
+/// it there and reclaims it.
+#[test]
+fn non_owned_replica_dies_in_retired_from_space() {
+    let mut c = Cluster::new(ClusterConfig::with_nodes(2));
+    let (n0, n1) = (n(0), n(1));
+    let b = c.create_bunch(n0).unwrap();
+    let o = c.alloc(n0, b, &ObjSpec::data(1)).unwrap();
+    let p = c.alloc(n0, b, &ObjSpec::data(1)).unwrap();
+    let root_o = c.add_root(n0, o);
+    c.add_root(n0, p);
+    c.map_bunch(n1, b, n0).unwrap();
+    c.add_root(n1, o);
+    // Ownership of O moves to node 1.
+    c.acquire_write(n1, o).unwrap();
+    c.write_data(n1, o, 0, 7).unwrap();
+    c.release(n1, o).unwrap();
+    let oid = c.oid_at(n0, o).unwrap();
+    assert!(!c.engine.is_owner(n0, oid));
+
+    // Node 0 copies P (owned) and scans O in place: O's segment retires
+    // to from-space with O's live replica still in it.
+    let s = c.run_bgc(n0, b).unwrap();
+    assert_eq!((s.copied, s.scanned, s.reclaimed), (1, 1, 0));
+    let o_seg = c.server.borrow().segment_of(o).unwrap().id;
+    assert!(c
+        .gc
+        .node(n0)
+        .bunch(b)
+        .unwrap()
+        .pending_from
+        .contains(&o_seg));
+    assert_eq!(c.gc.node(n0).directory.addr_of(oid), Some(o));
+
+    // Node 0 drops its root: the next collection reclaims the replica in
+    // from-space, while node 1's copy lives on.
+    c.remove_root(n0, root_o).unwrap();
+    let s = c.run_bgc(n0, b).unwrap();
+    assert_eq!((s.live, s.reclaimed), (1, 1));
+    assert!(c.oid_at_local(n0, o).is_err(), "replica gone at node 0");
+    assert_eq!(c.gc.node(n0).directory.addr_of(oid), None);
+    c.acquire_read(n1, o).unwrap();
+    assert_eq!(c.read_data(n1, o, 0).unwrap(), 7);
+    c.release(n1, o).unwrap();
+}
